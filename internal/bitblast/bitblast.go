@@ -27,18 +27,6 @@ type Context struct {
 	litTrue  sat.Lit
 	litFalse sat.Lit
 	started  bool
-
-	// Structural gate hashing (enabled by SetStructHash): gate
-	// constructors memoize their output literal by canonicalized input
-	// literals, so equal sub-circuits reached through different terms emit
-	// CNF once. Entries mentioning variables removed by solver
-	// inprocessing are purged via ForgetEliminated — a purged gate's
-	// defining clauses are gone, so its output must never be reused.
-	structHash bool
-	andMemo    map[string]sat.Lit
-	xorMemo    map[[2]sat.Lit]sat.Lit
-	iteMemo    map[[3]sat.Lit]sat.Lit
-	gateHits   int64
 }
 
 // New returns a Context blasting terms from f into s.
@@ -51,55 +39,6 @@ func New(f *smt.Factory, s *sat.Solver) *Context {
 	}
 }
 
-// SetStructHash toggles structural gate hashing. Turn it on before
-// blasting anything; gates emitted earlier are not retroactively shared.
-func (c *Context) SetStructHash(on bool) {
-	c.structHash = on
-	if on && c.andMemo == nil {
-		c.andMemo = make(map[string]sat.Lit)
-		c.xorMemo = make(map[[2]sat.Lit]sat.Lit)
-		c.iteMemo = make(map[[3]sat.Lit]sat.Lit)
-	}
-}
-
-// GateHits returns how many gate constructions were answered from the
-// structural hash instead of emitting fresh CNF.
-func (c *Context) GateHits() int64 { return c.gateHits }
-
-// ForgetEliminated drops every structural-hash entry that mentions one of
-// the given (inprocessing-eliminated) variables, as input or output. The
-// term-level memos never need purging: every literal stored there is
-// frozen and thus never eliminated.
-func (c *Context) ForgetEliminated(vars []sat.Var) {
-	if len(vars) == 0 || !c.structHash {
-		return
-	}
-	dead := make(map[sat.Var]bool, len(vars))
-	for _, v := range vars {
-		dead[v] = true
-	}
-	for k, y := range c.andMemo {
-		drop := dead[y.Var()]
-		for i := 0; !drop && i+3 < len(k); i += 4 {
-			l := sat.Lit(uint32(k[i]) | uint32(k[i+1])<<8 | uint32(k[i+2])<<16 | uint32(k[i+3])<<24)
-			drop = dead[l.Var()]
-		}
-		if drop {
-			delete(c.andMemo, k)
-		}
-	}
-	for k, y := range c.xorMemo {
-		if dead[y.Var()] || dead[k[0].Var()] || dead[k[1].Var()] {
-			delete(c.xorMemo, k)
-		}
-	}
-	for k, y := range c.iteMemo {
-		if dead[y.Var()] || dead[k[0].Var()] || dead[k[1].Var()] || dead[k[2].Var()] {
-			delete(c.iteMemo, k)
-		}
-	}
-}
-
 func (c *Context) ensureConsts() {
 	if c.started {
 		return
@@ -108,7 +47,6 @@ func (c *Context) ensureConsts() {
 	v := c.s.NewVar()
 	c.litTrue = sat.MkLit(v, false)
 	c.litFalse = c.litTrue.Neg()
-	c.s.Freeze(v)
 	c.s.AddClause(c.litTrue)
 }
 
@@ -130,10 +68,6 @@ func (c *Context) Literal(t *smt.Term) sat.Lit {
 	}
 	l := c.blastBool(t)
 	c.lit[t] = l
-	// The term memo outlives any Inprocess pass: its literals are read by
-	// models, assumptions, and future blasts, so they must never be
-	// eliminated.
-	c.s.Freeze(l.Var())
 	return l
 }
 
@@ -146,8 +80,7 @@ func (c *Context) AssertTrue(t *smt.Term) {
 // implication through a Tseitin gate: top-level conjunctions of t split
 // into one guarded clause per conjunct. When the guard is an activation
 // literal that later becomes false at level 0, each guard clause is
-// satisfied outright and inprocessing deletes it, instead of leaving a
-// dead implication gate behind.
+// satisfied outright, and no dead implication gate is left behind.
 func (c *Context) AssertImplied(guard, t *smt.Term) {
 	c.assertImplied(c.Literal(guard).Neg(), t)
 }
@@ -226,9 +159,6 @@ func (c *Context) Bits(t *smt.Term) []sat.Lit {
 		panic(fmt.Sprintf("bitblast: width mismatch blasting %s: got %d, want %d", t, len(bs), t.Sort().Width))
 	}
 	c.bv[t] = bs
-	for _, l := range bs {
-		c.s.Freeze(l.Var())
-	}
 	return bs
 }
 
@@ -361,49 +291,11 @@ func (c *Context) mkAnd(lits []sat.Lit) sat.Lit {
 	case 1:
 		return out[0]
 	}
-	if c.structHash {
-		// Canonicalize: sort and dedupe inputs; a pair of complementary
-		// inputs makes the conjunction false.
-		sorted := append([]sat.Lit(nil), out...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		canon := sorted[:0]
-		for i, l := range sorted {
-			if i > 0 && l == sorted[i-1] {
-				continue
-			}
-			if i > 0 && l == sorted[i-1].Neg() {
-				return c.litFalse
-			}
-			canon = append(canon, l)
-		}
-		if len(canon) == 1 {
-			return canon[0]
-		}
-		key := make([]byte, 0, 4*len(canon))
-		for _, l := range canon {
-			key = append(key, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-		}
-		if y, ok := c.andMemo[string(key)]; ok {
-			c.gateHits++
-			return y
-		}
-		y := c.emitAnd(canon)
-		c.andMemo[string(key)] = y
-		return y
-	}
-	return c.emitAnd(out)
-}
-
-// emitAnd emits the Tseitin definition y ↔ ∧ lits and returns y.
-func (c *Context) emitAnd(lits []sat.Lit) sat.Lit {
+	// Tseitin definition y ↔ ∧ out.
 	y := c.freshLit()
-	long := make([]sat.Lit, 0, len(lits)+1)
+	long := make([]sat.Lit, 0, len(out)+1)
 	long = append(long, y)
-	for _, l := range lits {
+	for _, l := range out {
 		c.s.AddClause(y.Neg(), l) // y -> l
 		long = append(long, l.Neg())
 	}
@@ -427,32 +319,6 @@ func (c *Context) mkXor(a, b sat.Lit) sat.Lit {
 	case a == b.Neg():
 		return c.litTrue
 	}
-	if c.structHash {
-		// Canonicalize: xor commutes and pulls negations to the output
-		// (¬a ⊕ b = ¬(a ⊕ b)), so hash on the sorted positive forms.
-		sign := a.Sign() != b.Sign()
-		pa, pb := a&^1, b&^1
-		if pb < pa {
-			pa, pb = pb, pa
-		}
-		key := [2]sat.Lit{pa, pb}
-		y, ok := c.xorMemo[key]
-		if ok {
-			c.gateHits++
-		} else {
-			y = c.emitXor(pa, pb)
-			c.xorMemo[key] = y
-		}
-		if sign {
-			return y.Neg()
-		}
-		return y
-	}
-	return c.emitXor(a, b)
-}
-
-// emitXor emits the Tseitin definition y ↔ a ⊕ b and returns y.
-func (c *Context) emitXor(a, b sat.Lit) sat.Lit {
 	y := c.freshLit()
 	c.s.AddClause(y.Neg(), a, b)
 	c.s.AddClause(y.Neg(), a.Neg(), b.Neg())
@@ -475,29 +341,6 @@ func (c *Context) mkIte(cond, a, b sat.Lit) sat.Lit {
 	case a == c.litFalse && b == c.litTrue:
 		return cond.Neg()
 	}
-	if c.structHash {
-		// Canonicalize: a negated condition swaps the branches, and two
-		// negated branches pull the negation to the output.
-		if cond.Sign() {
-			cond, a, b = cond.Neg(), b, a
-		}
-		if a.Sign() && b.Sign() && a != c.litFalse && b != c.litFalse {
-			return c.mkIte(cond, a.Neg(), b.Neg()).Neg()
-		}
-		key := [3]sat.Lit{cond, a, b}
-		if y, ok := c.iteMemo[key]; ok {
-			c.gateHits++
-			return y
-		}
-		y := c.emitIte(cond, a, b)
-		c.iteMemo[key] = y
-		return y
-	}
-	return c.emitIte(cond, a, b)
-}
-
-// emitIte emits the Tseitin definition y ↔ (cond ? a : b) and returns y.
-func (c *Context) emitIte(cond, a, b sat.Lit) sat.Lit {
 	y := c.freshLit()
 	c.s.AddClause(cond.Neg(), a.Neg(), y)
 	c.s.AddClause(cond.Neg(), a, y.Neg())

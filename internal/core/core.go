@@ -239,14 +239,12 @@ type FindOptions struct {
 	// Obs/Trace attach observability (see FindBugsObs).
 	Obs   *obs.Registry
 	Trace *obs.Span
-	// Incremental runs every bug check of the slice on one persistent
-	// solver: each check's condition is asserted inside a retractable
-	// activation scope (solver.CheckIn/Retract), so conflict clauses
-	// learned on one check prune the next, shared term DAGs blast to
-	// shared CNF via structural gate hashing, and bounded inprocessing
-	// between checks cleans out retracted-scope clauses. Verdicts and
-	// reported models' satisfying status are unchanged — the identity
-	// harness pins -incremental=on/off reports byte-identical.
+	// Incremental asserts each bug check's condition inside a
+	// retractable activation scope (solver.CheckIn/Retract) instead of
+	// passing it as a Check assumption; the slice's one solver is shared
+	// either way. Verdicts and reported models' satisfying status are
+	// unchanged — the identity harness pins -incremental=on/off reports
+	// byte-identical.
 	Incremental bool
 }
 
@@ -259,9 +257,6 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 	defer done()
 	s := solver.New(pl.IR.F)
 	s.SetObs(reg)
-	if opts.Incremental {
-		s.SetIncremental(true)
-	}
 	rep := &Report{Pipeline: pl, S: s}
 	reachable := pl.IR.Reachable()
 

@@ -130,9 +130,6 @@ func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase st
 	if workers <= 1 {
 		s := solver.New(pl.IR.F)
 		s.SetObs(opts.Obs)
-		if opts.Incremental {
-			s.SetIncremental(true)
-		}
 		for i := range nodes {
 			run(s, i)
 		}
@@ -143,9 +140,6 @@ func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase st
 			go func(w int) {
 				defer wg.Done()
 				s := solver.New(pl.IR.F)
-				if opts.Incremental {
-					s.SetIncremental(true)
-				}
 				for i := w; i < len(nodes); i += workers {
 					run(s, i)
 				}

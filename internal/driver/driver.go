@@ -43,13 +43,11 @@ type Config struct {
 	// Evaluation-preserving, so verdicts are identical either way (opt out
 	// with -rewrite=off to cross-check).
 	Rewrite bool
-	// Incremental makes the bug-check solver persistent across all of a
-	// slice's checks: each bug condition is asserted inside a retractable
-	// activation scope so learned clauses survive check-to-check,
-	// structural gate hashing shares CNF between checks' shared term DAGs,
-	// and bounded inprocessing between checks cleans out retracted-scope
-	// clauses. Verdicts and inferred annotations are identical either way
-	// (opt out with -incremental=off to cross-check).
+	// Incremental asserts each bug condition inside a retractable
+	// activation scope on the slice's persistent bug-check solver
+	// (solver.CheckIn/Retract) instead of passing it as a Check
+	// assumption. Verdicts and inferred annotations are identical either
+	// way (opt out with -incremental=off to cross-check).
 	Incremental bool
 	// Workers bounds the per-instance inference fan-out (cmd/bf4's -j);
 	// <= 0 means GOMAXPROCS. It overrides Infer.Workers when set. The

@@ -8,9 +8,9 @@ import (
 )
 
 // TestIncrementalVerdictIdentity is the identity harness for the
-// incremental solver core: for every corpus program, running with the
-// persistent per-slice solver (clause reuse across retracted scopes,
-// structural gate hashing, inprocessing between checks) must produce
+// incremental solver core: for every corpus program, running each bug
+// check inside a retractable scope on the persistent per-slice solver
+// (clause reuse across retracted scopes) must produce
 // byte-identical verdicts, fixes, and inferred annotations to the
 // one-shot configuration — incremental mode may change which CNF the
 // solver sees, never what a check means.

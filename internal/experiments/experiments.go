@@ -79,13 +79,6 @@ type Table1Metrics struct {
 	InferCalls    int64
 	Discharged    int64 // analysis + fold pre-discharges
 	PoolInferRuns int64 // instances handed to the infer pool
-	// Incremental-core counters (0 when -incremental=off): structural
-	// gate-hash hits in the bit-blaster, inprocessing passes, and what
-	// those passes removed from the clause database.
-	GateHits      int64
-	Inprocessings int64
-	InprocDeleted int64
-	InprocElim    int64
 }
 
 // Table1WithMetrics is Table1 plus a per-program metric summary gathered
@@ -161,10 +154,6 @@ func table1(switchScale, workers int, withMetrics bool, mutate func(*driver.Conf
 				Discharged: reg.CounterValue("bf4_core_discharged_analysis_total") +
 					reg.CounterValue("bf4_core_discharged_fold_total"),
 				PoolInferRuns: reg.CounterValue("bf4_pool_infer_tasks_total"),
-				GateHits:      reg.CounterValue("bf4_solver_gate_hits_total"),
-				Inprocessings: reg.CounterValue("bf4_solver_inprocessings_total"),
-				InprocDeleted: reg.CounterValue("bf4_solver_inprocess_deleted_total"),
-				InprocElim:    reg.CounterValue("bf4_solver_inprocess_elim_vars_total"),
 			}
 		}
 		return o, nil

@@ -260,9 +260,7 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 		// Assumption-based Check, not a retractable scope: rechecks revisit
 		// the same conditions many times, so the assumption path reuses the
 		// blasted circuit via the term memo, while a scope would mint a
-		// fresh activation variable and guard clauses per visit. On an
-		// incremental bug-check solver the recheck still profits from the
-		// inprocessed (smaller) clause database FindBugs left behind.
+		// fresh activation variable and guard clauses per visit.
 		if re.s.Check(b.Cond) == solver.Sat {
 			out = append(out, b)
 		} else {

@@ -133,20 +133,6 @@ type Solver struct {
 	model      []lbool
 	conflictCs []Lit // failed assumptions (negated), valid after Unsat
 
-	// frozen marks variables that outside code holds references to
-	// (bitblast memo entries, activation literals): inprocessing must
-	// never eliminate them, since their semantics are observed across
-	// Solve calls.
-	frozen []bool
-	// eliminated marks variables removed by bounded variable elimination.
-	// They occur in no clause, are never branched on, and their model
-	// values are reconstructed from elimStack after a Sat result.
-	eliminated []bool
-	// elimStack records, in elimination order, every problem clause
-	// deleted by variable elimination; extendModel walks it in reverse
-	// (Järvisalo & Biere style reconstruction) to assign eliminated vars.
-	elimStack []elimEntry
-
 	// Budget limits a single Solve call; 0 means unlimited.
 	Budget struct {
 		Conflicts int64
@@ -160,11 +146,6 @@ type Solver struct {
 	restarts     int64
 	learned      int64
 	problemCs    int // cached count of live non-learnt clauses
-
-	subsumedCs     int64
-	strengthenedCs int64
-	elimVars       int64
-	inprocessings  int64
 }
 
 // Stats is a snapshot of the solver's cumulative search statistics.
@@ -241,11 +222,10 @@ func (s *Solver) init() {
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
-// NumClauses returns the number of live problem (non-learnt) clauses.
-// The count is maintained incrementally on attach/delete, so per-check
-// CNF-growth snapshots are O(1) instead of a walk over the clause
-// database. Inprocessing may shrink it (satisfied, subsumed, and
-// variable-elimination deletions).
+// NumClauses returns the number of problem (non-learnt) clauses. The
+// count is maintained on attach, so per-check CNF-growth snapshots are
+// O(1) instead of a walk over the clause database. Problem clauses are
+// never deleted, so the count only grows.
 func (s *Solver) NumClauses() int { return s.problemCs }
 
 // Conflicts returns the cumulative number of conflicts across Solve calls.
@@ -263,42 +243,6 @@ func (s *Solver) Restarts() int64 { return s.restarts }
 // Learned returns the cumulative number of learnt clauses.
 func (s *Solver) Learned() int64 { return s.learned }
 
-// SubsumedClauses returns the cumulative number of clauses deleted by
-// inprocessing subsumption.
-func (s *Solver) SubsumedClauses() int64 { return s.subsumedCs }
-
-// StrengthenedClauses returns the cumulative number of self-subsuming
-// resolution strengthenings performed by inprocessing.
-func (s *Solver) StrengthenedClauses() int64 { return s.strengthenedCs }
-
-// EliminatedVars returns the cumulative number of variables removed by
-// bounded variable elimination.
-func (s *Solver) EliminatedVars() int64 { return s.elimVars }
-
-// Inprocessings returns the number of Inprocess passes run.
-func (s *Solver) Inprocessings() int64 { return s.inprocessings }
-
-// Freeze marks v as off-limits for variable elimination. Any variable
-// whose value or clauses are observed from outside the solver — bitblast
-// memo roots, activation literals, future assumption literals — must be
-// frozen before the first Inprocess call.
-func (s *Solver) Freeze(v Var) {
-	s.init()
-	s.ensureVar(v)
-	s.frozen[v] = true
-}
-
-// Frozen reports whether v is protected from elimination.
-func (s *Solver) Frozen(v Var) bool {
-	return int(v) < len(s.frozen) && s.frozen[v]
-}
-
-// IsEliminated reports whether v was removed by variable elimination.
-// Eliminated variables must not appear in new clauses or assumptions.
-func (s *Solver) IsEliminated(v Var) bool {
-	return int(v) < len(s.eliminated) && s.eliminated[v]
-}
-
 // NewVar creates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	s.init()
@@ -309,8 +253,6 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (sign=true)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.frozen = append(s.frozen, false)
-	s.eliminated = append(s.eliminated, false)
 	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(v)
 	return v
@@ -346,9 +288,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	for _, l := range lits {
 		s.ensureVar(l.Var())
-		if s.eliminated[l.Var()] {
-			panic("sat: AddClause on eliminated variable (missing Freeze before Inprocess?)")
-		}
 	}
 	// Normalize: drop duplicate and false literals; detect tautology and
 	// already-satisfied clauses.
@@ -744,9 +683,6 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 	}
 	for _, a := range assumptions {
 		s.ensureVar(a.Var())
-		if s.eliminated[a.Var()] {
-			panic("sat: Solve assumption on eliminated variable (missing Freeze before Inprocess?)")
-		}
 	}
 	defer s.cancelUntil(0)
 
@@ -831,10 +767,8 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 		// Pick a branching variable.
 		next := s.pickBranch()
 		if next == LitUndef {
-			// All variables assigned: model found. Eliminated variables are
-			// unassigned; reconstruct their values from the elimination stack.
+			// All variables assigned: model found.
 			s.model = append(s.model[:0], s.assigns...)
-			s.extendModel()
 			return Sat
 		}
 		s.decisions++
@@ -849,7 +783,7 @@ func (s *Solver) pickBranch() Lit {
 		if !ok {
 			return LitUndef
 		}
-		if s.assigns[v] == lUndef && !s.eliminated[v] {
+		if s.assigns[v] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}

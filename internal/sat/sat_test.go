@@ -371,6 +371,36 @@ func TestHardRandom3SAT(t *testing.T) {
 	}
 }
 
+// TestRetractedScope models the solver-layer scope lifecycle: guard
+// clauses bind only while the activation literal is assumed, and a
+// retracted scope (¬act asserted at level 0) leaves its variables
+// unconstrained without deleting any clause.
+func TestRetractedScope(t *testing.T) {
+	s := New()
+	act, x, y := s.NewVar(), s.NewVar(), s.NewVar()
+	// Scoped assertions: act → x, act → ¬y.
+	s.AddClause(MkLit(act, true), MkLit(x, false))
+	s.AddClause(MkLit(act, true), MkLit(y, true))
+	if got := s.Solve(MkLit(act, false)); got != Sat {
+		t.Fatalf("inside scope: got %v, want Sat", got)
+	}
+	if !s.Value(x) || s.Value(y) {
+		t.Fatalf("inside scope want x=true y=false")
+	}
+	if got := s.Solve(MkLit(act, false), MkLit(x, true)); got != Unsat {
+		t.Fatalf("inside scope under ¬x: got %v, want Unsat", got)
+	}
+	// Retract: ¬act becomes a level-0 fact.
+	s.AddClause(MkLit(act, true))
+	if s.NumClauses() != 2 {
+		t.Fatalf("NumClauses = %d, want 2 (guard clauses stay, satisfied)", s.NumClauses())
+	}
+	// x and y are unconstrained again.
+	if got := s.Solve(MkLit(x, true), MkLit(y, false)); got != Sat {
+		t.Fatalf("after retract: got %v, want Sat", got)
+	}
+}
+
 func BenchmarkSolvePigeonhole7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math/rand"
 	"testing"
 
 	"bf4/internal/smt"
@@ -31,9 +32,9 @@ func sliceFixture(f *smt.Factory) (base, conds []*smt.Term) {
 // TestScopedChecksAdversarialOrdering pins the core incremental-soundness
 // property: clauses learned under a retracted scope must never flip a
 // later check's verdict, for any ordering of the checks on one slice.
-// Every verdict is compared against a fresh single-shot solver, with
-// forced inprocessing between checks to exercise clause cleanup at every
-// boundary.
+// Every CheckIn verdict is compared against a fresh single-shot solver,
+// and after every Retract an assumption-based Check on the same
+// persistent solver must agree with that reference too.
 func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	f := smt.NewFactory()
 	base, conds := sliceFixture(f)
@@ -54,9 +55,16 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 		{2, 0, 5, 1, 4, 3},
 		{1, 1, 0, 0, 2, 2, 5, 3, 4}, // repeated checks must stay stable
 	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 8; i++ {
+		order := make([]int, 2*len(conds))
+		for j := range order {
+			order[j] = rng.Intn(len(conds))
+		}
+		orders = append(orders, order)
+	}
 	for oi, order := range orders {
 		s := New(f)
-		s.SetIncremental(true)
 		for _, b := range base {
 			s.Assert(b)
 		}
@@ -79,32 +87,15 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 				}
 			}
 			s.Retract()
-			// Force inprocessing at every boundary, not just every 4th.
-			s.Inprocess()
+			// At the boundary the retracted scope must constrain nothing:
+			// every condition checks as on a fresh solver.
+			for cj, c := range conds {
+				if res := s.Check(c); res != want[cj] {
+					t.Fatalf("order %d after step %d: Check(cond %d) got %v, want %v (retracted scope still binding?)",
+						oi, step, cj, res, want[cj])
+				}
+			}
 		}
-	}
-}
-
-// TestCheckScopedFallback: with incremental off, CheckScoped must be an
-// assumption-based Check — same verdicts, usable model, no scope state.
-func TestCheckScopedFallback(t *testing.T) {
-	f := smt.NewFactory()
-	base, conds := sliceFixture(f)
-	inc := New(f)
-	inc.SetIncremental(true)
-	plain := New(f)
-	for _, b := range base {
-		inc.Assert(b)
-		plain.Assert(b)
-	}
-	for i, c := range conds {
-		ri, rp := inc.CheckScoped(c), plain.CheckScoped(c)
-		if ri != rp {
-			t.Fatalf("cond %d: incremental %v, plain %v", i, ri, rp)
-		}
-	}
-	if n := inc.NumScopes(); n != 0 {
-		t.Fatalf("CheckScoped left %d scopes open", n)
 	}
 }
 
@@ -113,7 +104,6 @@ func TestCheckScopedFallback(t *testing.T) {
 func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
-	s.SetIncremental(true)
 	x := f.BVVar("x", 8)
 	s.Assert(f.Ult(x, f.BVConst64(5, 8)))
 	// Burn a few scoped checks first so retracted activation literals and
@@ -129,29 +119,5 @@ func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	core := s.UnsatCore()
 	if len(core) != 1 || core[0] != a {
 		t.Fatalf("core %v, want exactly the caller's assumption", core)
-	}
-}
-
-// TestIncrementalStatsShrink: after many retracted scopes, inprocessing
-// must actually shrink the clause database below its peak.
-func TestIncrementalStatsShrink(t *testing.T) {
-	f := smt.NewFactory()
-	s := New(f)
-	s.SetIncremental(true)
-	x := f.BVVar("x", 8)
-	y := f.BVVar("y", 8)
-	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(77, 8)))
-	peak := 0
-	for i := 0; i < 12; i++ {
-		s.CheckIn(f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
-		if _, clauses, _, _ := s.Stats(); clauses > peak {
-			peak = clauses
-		}
-		s.Retract()
-	}
-	s.Inprocess()
-	_, after, _, _ := s.Stats()
-	if after >= peak {
-		t.Fatalf("clause DB did not shrink: peak %d, after inprocessing %d", peak, after)
 	}
 }

@@ -65,6 +65,74 @@ func TestNestedScopes(t *testing.T) {
 	}
 }
 
+// TestNestedScopesGuardClauses pins verdicts and unsat cores through a
+// nested Push/Pop lifecycle, with conjunctions asserted inside scopes
+// (each conjunct becomes its own guard clause): cores name only the
+// caller's assumptions, and each Pop releases exactly its own scope.
+func TestNestedScopesGuardClauses(t *testing.T) {
+	f := smt.NewFactory()
+	s := New(f)
+	x, y := f.BVVar("x", 8), f.BVVar("y", 8)
+	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(40, 8)))
+	big := f.Ugt(x, f.BVConst64(30, 8))
+	odd := f.Eq(f.Extract(y, 0, 0), f.BVConst64(1, 1))
+	y20 := f.Eq(y, f.BVConst64(20, 8))
+	// free constrains a variable no assertion mentions, so it can never
+	// take part in a conflict and must stay out of every core.
+	free := f.Eq(f.BVVar("z", 8), f.BVConst64(5, 8))
+	// check runs Check(as...) and, on Unsat, requires the core to be
+	// exactly wantCore (as a set).
+	check := func(step string, as []*smt.Term, want Result, wantCore ...*smt.Term) {
+		t.Helper()
+		if res := s.Check(as...); res != want {
+			t.Fatalf("%s: got %v, want %v", step, res, want)
+		}
+		if want != Unsat {
+			return
+		}
+		core := s.UnsatCore()
+		in := map[*smt.Term]bool{}
+		for _, c := range core {
+			in[c] = true
+		}
+		if len(core) != len(wantCore) {
+			t.Fatalf("%s: core %v, want %v", step, core, wantCore)
+		}
+		for _, c := range wantCore {
+			if !in[c] {
+				t.Fatalf("%s: core %v, want %v", step, core, wantCore)
+			}
+		}
+	}
+
+	s.Push()
+	s.Assert(f.And(f.Ult(x, f.BVConst64(20, 8)), f.Ugt(x, f.BVConst64(4, 8))))
+	check("outer", []*smt.Term{free, big}, Unsat, big)
+	check("outer", []*smt.Term{odd}, Sat)
+
+	s.Push()
+	s.Assert(f.And(f.Eq(x, f.BVConst64(10, 8)), f.Eq(y, f.BVConst64(30, 8))))
+	check("inner", []*smt.Term{odd, free}, Unsat, odd)
+	check("inner", nil, Sat)
+	if m := s.Model(); m["x"].Int64() != 10 || m["y"].Int64() != 30 {
+		t.Fatalf("inner: model x=%v y=%v, want 10, 30", m["x"], m["y"])
+	}
+
+	s.Pop()
+	check("after inner Pop", []*smt.Term{odd}, Sat)
+	if x := s.Model()["x"].Int64(); x <= 4 || x >= 20 {
+		t.Fatalf("after inner Pop: model x=%d escapes the outer scope", x)
+	}
+	check("after inner Pop", []*smt.Term{big, free}, Unsat, big)
+
+	s.Pop()
+	// Only the base x+y=40 is left: each assumption alone is satisfiable,
+	// together they conflict, and the core names both of them.
+	check("after outer Pop", []*smt.Term{big}, Sat)
+	check("after outer Pop", []*smt.Term{y20}, Sat)
+	check("after outer Pop", []*smt.Term{big, free, y20}, Unsat, big, y20)
+}
+
 // TestScopesDoNotPolluteUnsatCore: activation literals for open scopes
 // are internal bookkeeping and must never show up in an unsat core.
 func TestScopesDoNotPolluteUnsatCore(t *testing.T) {

@@ -66,14 +66,6 @@ type Solver struct {
 	// permanently asserts the negation).
 	scopes   []*smt.Term
 	scopeSeq int
-
-	// incremental enables the persistent-solver features (structural gate
-	// hashing, guarded scope assertions, periodic inprocessing). See
-	// SetIncremental.
-	incremental  bool
-	scopedChecks int
-	inprocEvery  int
-	lastGateHits int64
 }
 
 // CheckStats describes one Check call in isolation: every field is a
@@ -102,9 +94,6 @@ type obsHooks struct {
 	learned, blastNs, searchNs                   *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
 	cnfVars, cnfClauses                          *obs.Gauge
-
-	inprocessings, inprocDeleted, inprocSubsumed *obs.Counter
-	inprocStrengthened, inprocElimVars, gateHits *obs.Counter
 }
 
 // SetObs installs a metrics registry: every subsequent Check records its
@@ -132,13 +121,6 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		checkNs:        reg.Histogram("bf4_solver_check_ns", obs.DurationBuckets),
 		cnfVars:        reg.Gauge("bf4_solver_cnf_vars"),
 		cnfClauses:     reg.Gauge("bf4_solver_cnf_clauses"),
-
-		inprocessings:      reg.Counter("bf4_solver_inprocessings_total"),
-		inprocDeleted:      reg.Counter("bf4_solver_inprocess_deleted_total"),
-		inprocSubsumed:     reg.Counter("bf4_solver_inprocess_subsumed_total"),
-		inprocStrengthened: reg.Counter("bf4_solver_inprocess_strengthened_total"),
-		inprocElimVars:     reg.Counter("bf4_solver_inprocess_elim_vars_total"),
-		gateHits:           reg.Counter("bf4_solver_gate_hits_total"),
 	}
 }
 
@@ -203,22 +185,6 @@ func (s *Solver) registerVars(t *smt.Term) {
 // Assert adds t to the solver's constraint set: permanently when no Push
 // scope is open, otherwise until the innermost scope is popped.
 func (s *Solver) Assert(t *smt.Term) {
-	if n := len(s.scopes); n > 0 {
-		if s.incremental {
-			// Emit direct guard clauses (¬act ∨ conjunct) instead of a
-			// Tseitin implication gate: when Retract asserts ¬act, every
-			// guard clause is satisfied outright and the next inprocessing
-			// pass deletes it, instead of leaving dead gate circuitry.
-			rt := s.Simplify(t)
-			s.registerVars(rt)
-			s.ctx.AssertImplied(s.scopes[n-1], rt)
-			return
-		}
-		// Guard with the innermost activation literal. Scopes pop LIFO,
-		// so when an outer scope dies every inner one is already dead;
-		// guarding with one literal is enough.
-		t = s.f.Implies(s.scopes[n-1], t)
-	}
 	// Variables are collected from the SIMPLIFIED formula: a variable the
 	// rewrite erased is unconstrained, so leaving its bits unallocated
 	// keeps the CNF smaller without losing models — the rewrite preserves
@@ -227,11 +193,19 @@ func (s *Solver) Assert(t *smt.Term) {
 	// simplified formula zero-extends to one of the original.
 	rt := s.Simplify(t)
 	s.registerVars(rt)
-	// With the simplification layer on and no activation literal in
-	// play, a top-level conjunction splits into one unit assertion per
-	// conjunct — the standard assert-time flattening that skips the
-	// Tseitin gate for the conjunction itself.
-	if s.rewrite != nil && len(s.scopes) == 0 && rt.Op() == smt.OpAnd {
+	if n := len(s.scopes); n > 0 {
+		// Guard with the innermost activation literal, as direct guard
+		// clauses (¬act ∨ conjunct) rather than a Tseitin implication
+		// gate: once Pop asserts ¬act, every guard clause is satisfied
+		// outright. Scopes pop LIFO, so when an outer scope dies every
+		// inner one is already dead; guarding with one literal is enough.
+		s.ctx.AssertImplied(s.scopes[n-1], rt)
+		return
+	}
+	// With the simplification layer on, a top-level conjunction splits
+	// into one unit assertion per conjunct — the standard assert-time
+	// flattening that skips the Tseitin gate for the conjunction itself.
+	if s.rewrite != nil && rt.Op() == smt.OpAnd {
 		for _, a := range rt.Args() {
 			s.ctx.AssertTrue(a)
 		}
@@ -268,6 +242,24 @@ func (s *Solver) Pop() {
 
 // NumScopes returns the number of currently open Push scopes.
 func (s *Solver) NumScopes() int { return len(s.scopes) }
+
+// CheckIn opens a retractable scope, asserts cond inside it, and checks
+// satisfiability. The scope is left open so the caller can read Model or
+// UnsatCore against it; Retract closes it. The scope lives in the
+// solver's own state between the two calls, which is what lets one
+// persistent solver interleave check, model extraction, and retraction
+// across a whole slice's bug list, keeping the clauses learned on one
+// check for the next. Verdicts are the same as an assumption-based
+// Check(cond): the driver's identity harness pins -incremental=on and
+// off byte-identical on the full corpus.
+func (s *Solver) CheckIn(cond *smt.Term) Result {
+	s.Push()
+	s.Assert(cond)
+	return s.Check()
+}
+
+// Retract closes the scope opened by the most recent CheckIn.
+func (s *Solver) Retract() { s.Pop() }
 
 // Check determines satisfiability of the asserted formulas together with
 // the given assumptions. Unlike Assert, assumptions hold only for this
@@ -351,10 +343,6 @@ func (s *Solver) recordCheck() {
 	h.checkNs.Observe(s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds())
 	h.cnfVars.Set(int64(s.sat.NumVars()))
 	h.cnfClauses.Set(int64(s.sat.NumClauses()))
-	if gh := s.ctx.GateHits(); gh != s.lastGateHits {
-		h.gateHits.Add(gh - s.lastGateHits)
-		s.lastGateHits = gh
-	}
 }
 
 // LastCheckStats returns the per-query statistics of the most recent

@@ -36,7 +36,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 )
 
 type benchRow struct {
@@ -76,14 +78,22 @@ type shimscaleFile struct {
 	UpdatesPerSec float64 `json:"updates_per_sec"`
 }
 
-func load(path string) (*benchFile, error) {
+// readJSON decodes the artifact at path into v.
+func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+func loadTable1(path string) (*benchFile, error) {
 	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := readJSON(path, &f); err != nil {
+		return nil, err
 	}
 	if f.Bench != "table1" {
 		return nil, fmt.Errorf("%s: bench is %q, want table1", path, f.Bench)
@@ -91,19 +101,29 @@ func load(path string) (*benchFile, error) {
 	return &f, nil
 }
 
+// loadShimscale reads a shimscale artifact and checks that it is the
+// fastpath=wantFast arm.
+func loadShimscale(path string, wantFast bool) (*shimscaleFile, error) {
+	var f shimscaleFile
+	if err := readJSON(path, &f); err != nil {
+		return nil, err
+	}
+	if f.Bench != "shimscale" {
+		return nil, fmt.Errorf("%s: bench is %q, want shimscale", path, f.Bench)
+	}
+	if f.Fastpath != wantFast {
+		return nil, fmt.Errorf("%s: fastpath=%v artifact in the %v position", path, f.Fastpath, wantFast)
+	}
+	return &f, nil
+}
+
 // benchKind reads just the artifact's bench discriminator.
 func benchKind(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
 	var k struct {
 		Bench string `json:"bench"`
 	}
-	if err := json.Unmarshal(data, &k); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	return k.Bench, nil
+	err := readJSON(path, &k)
+	return k.Bench, err
 }
 
 func main() {
@@ -114,46 +134,68 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchcmp [-max-conflict-ratio 1.05] [-min-speedup 2.0] on.json off.json")
 		os.Exit(2)
 	}
-	kind, err := benchKind(flag.Arg(0))
+	if err := run(os.Stdout, flag.Arg(0), flag.Arg(1), *maxRatio, *minSpeedup); err != nil {
+		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Println("benchcmp: OK")
+}
+
+// run loads the two artifacts, dispatches on the first one's bench
+// field, and returns the comparison's failure, if any.
+func run(w io.Writer, onPath, offPath string, maxRatio, minSpeedup float64) error {
+	kind, err := benchKind(onPath)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if kind == "shimscale" {
-		compareShimscale(flag.Arg(0), flag.Arg(1), *minSpeedup)
-		return
+		on, err := loadShimscale(onPath, true)
+		if err != nil {
+			return err
+		}
+		off, err := loadShimscale(offPath, false)
+		if err != nil {
+			return err
+		}
+		return compareShimscale(w, on, off, minSpeedup)
 	}
-	on, err := load(flag.Arg(0))
+	on, err := loadTable1(onPath)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	off, err := load(flag.Arg(1))
+	off, err := loadTable1(offPath)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
+	return compareTable1(w, on, off, onPath, offPath, maxRatio)
+}
 
+// compareTable1 prints the per-program effort table for an on/off pair
+// of table1 artifacts and fails on verdict drift or when on-conflicts
+// exceed maxRatio times off-conflicts.
+func compareTable1(w io.Writer, on, off *benchFile, onName, offName string, maxRatio float64) error {
 	offRows := map[string]benchRow{}
 	for _, r := range off.Rows {
 		offRows[r.Program] = r
 	}
 	if len(on.Rows) != len(off.Rows) {
-		fatalf("program sets differ: %d rows in %s, %d in %s", len(on.Rows), flag.Arg(0), len(off.Rows), flag.Arg(1))
+		return fmt.Errorf("program sets differ: %d rows in %s, %d in %s", len(on.Rows), onName, len(off.Rows), offName)
 	}
 
-	verdictsOK := true
+	var mismatches []string
 	reducedConflicts, reducedProps := 0, 0
-	fmt.Printf("%-22s %12s %12s %8s %14s %14s %8s\n",
+	fmt.Fprintf(w, "%-22s %12s %12s %8s %14s %14s %8s\n",
 		"program", "conflicts", "conflicts0", "Δ%", "propagations", "props0", "Δ%")
 	for _, a := range on.Rows {
 		b, ok := offRows[a.Program]
 		if !ok {
-			fatalf("program %s present only in %s", a.Program, flag.Arg(0))
+			return fmt.Errorf("program %s present only in %s", a.Program, onName)
 		}
 		if a.Bugs != b.Bugs || a.BugsAfterInfer != b.BugsAfterInfer ||
 			a.BugsAfterFixes != b.BugsAfterFixes || a.KeysAdded != b.KeysAdded {
-			fmt.Fprintf(os.Stderr, "VERDICT MISMATCH %s: on=(%d,%d,%d,%d) off=(%d,%d,%d,%d)\n",
+			mismatches = append(mismatches, fmt.Sprintf("VERDICT MISMATCH %s: on=(%d,%d,%d,%d) off=(%d,%d,%d,%d)",
 				a.Program, a.Bugs, a.BugsAfterInfer, a.BugsAfterFixes, a.KeysAdded,
-				b.Bugs, b.BugsAfterInfer, b.BugsAfterFixes, b.KeysAdded)
-			verdictsOK = false
+				b.Bugs, b.BugsAfterInfer, b.BugsAfterFixes, b.KeysAdded))
 		}
 		if a.Conflicts < b.Conflicts {
 			reducedConflicts++
@@ -161,82 +203,62 @@ func main() {
 		if a.Propagations < b.Propagations {
 			reducedProps++
 		}
-		fmt.Printf("%-22s %12d %12d %7.1f%% %14d %14d %7.1f%%\n",
+		fmt.Fprintf(w, "%-22s %12d %12d %7.1f%% %14d %14d %7.1f%%\n",
 			a.Program, a.Conflicts, b.Conflicts, delta(a.Conflicts, b.Conflicts),
 			a.Propagations, b.Propagations, delta(a.Propagations, b.Propagations))
 	}
 
-	fmt.Printf("\ntotal conflicts: on=%d off=%d (%.1f%%); propagations: on=%d off=%d (%.1f%%)\n",
+	fmt.Fprintf(w, "\ntotal conflicts: on=%d off=%d (%.1f%%); propagations: on=%d off=%d (%.1f%%)\n",
 		on.TotalConflicts, off.TotalConflicts, delta(on.TotalConflicts, off.TotalConflicts),
 		on.TotalPropagations, off.TotalPropagations, delta(on.TotalPropagations, off.TotalPropagations))
-	fmt.Printf("conflicts reduced on %d/%d programs; propagations reduced on %d/%d\n",
+	fmt.Fprintf(w, "conflicts reduced on %d/%d programs; propagations reduced on %d/%d\n",
 		reducedConflicts, len(on.Rows), reducedProps, len(on.Rows))
 
-	if !verdictsOK {
-		fatalf("incremental mode changed verdicts")
+	if len(mismatches) > 0 {
+		return fmt.Errorf("incremental mode changed verdicts:\n%s", strings.Join(mismatches, "\n"))
 	}
-	limit := float64(off.TotalConflicts) * *maxRatio
+	limit := float64(off.TotalConflicts) * maxRatio
 	if float64(on.TotalConflicts) > limit {
-		fatalf("total conflicts regressed: on=%d > %.2f × off=%d",
-			on.TotalConflicts, *maxRatio, off.TotalConflicts)
+		return fmt.Errorf("total conflicts regressed: on=%d > %.2f × off=%d",
+			on.TotalConflicts, maxRatio, off.TotalConflicts)
 	}
-	fmt.Println("benchcmp: OK")
+	return nil
 }
 
 // compareShimscale enforces the fast-path contract between a fastpath=on
 // artifact and its fastpath=off twin: identical decisions, identical
 // total assertion-evaluation counts, and a real speedup.
-func compareShimscale(onPath, offPath string, minSpeedup float64) {
-	loadScale := func(path string, wantFast bool) *shimscaleFile {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var f shimscaleFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			fatalf("%s: %v", path, err)
-		}
-		if f.Bench != "shimscale" {
-			fatalf("%s: bench is %q, want shimscale", path, f.Bench)
-		}
-		if f.Fastpath != wantFast {
-			fatalf("%s: fastpath=%v artifact in the %v position", path, f.Fastpath, wantFast)
-		}
-		return &f
-	}
-	on := loadScale(onPath, true)
-	off := loadScale(offPath, false)
-
-	fmt.Printf("%-10s %10s %10s %10s %12s %12s %14s\n",
+func compareShimscale(w io.Writer, on, off *shimscaleFile, minSpeedup float64) error {
+	fmt.Fprintf(w, "%-10s %10s %10s %10s %12s %12s %14s\n",
 		"fastpath", "updates", "accepted", "rejected", "fast-evals", "slow-evals", "updates/s")
 	for _, f := range []*shimscaleFile{on, off} {
-		fmt.Printf("%-10v %10d %10d %10d %12d %12d %14.0f\n",
+		fmt.Fprintf(w, "%-10v %10d %10d %10d %12d %12d %14.0f\n",
 			f.Fastpath, f.Updates, f.Accepted, f.Rejected, f.FastHits, f.SlowHits, f.UpdatesPerSec)
 	}
 
 	if on.Scale != off.Scale || on.Updates != off.Updates {
-		fatalf("arms ran different workloads: scale %d/%d, updates %d/%d",
+		return fmt.Errorf("arms ran different workloads: scale %d/%d, updates %d/%d",
 			on.Scale, off.Scale, on.Updates, off.Updates)
 	}
 	if on.Accepted != off.Accepted || on.Rejected != off.Rejected {
-		fatalf("DECISION MISMATCH: on=%d/%d off=%d/%d accepted/rejected — the fast path changed verdicts",
+		return fmt.Errorf("DECISION MISMATCH: on=%d/%d off=%d/%d accepted/rejected — the fast path changed verdicts",
 			on.Accepted, on.Rejected, off.Accepted, off.Rejected)
 	}
 	if off.FastHits != 0 {
-		fatalf("off artifact took the fast path %d times", off.FastHits)
+		return fmt.Errorf("off artifact took the fast path %d times", off.FastHits)
 	}
 	if on.FastHits == 0 {
-		fatalf("on artifact never took the fast path")
+		return fmt.Errorf("on artifact never took the fast path")
 	}
 	if got, want := on.FastHits+on.SlowHits, off.SlowHits; got != want {
-		fatalf("evaluation counts differ: on=%d (fast+slow) off=%d — tiers did not judge the same assertions", got, want)
+		return fmt.Errorf("evaluation counts differ: on=%d (fast+slow) off=%d — tiers did not judge the same assertions", got, want)
 	}
 	speedup := on.UpdatesPerSec / off.UpdatesPerSec
-	fmt.Printf("\nspeedup: %.2fx (minimum %.2fx)\n", speedup, minSpeedup)
+	fmt.Fprintf(w, "\nspeedup: %.2fx (minimum %.2fx)\n", speedup, minSpeedup)
 	if speedup < minSpeedup {
-		fatalf("fast path speedup %.2fx below required %.2fx", speedup, minSpeedup)
+		return fmt.Errorf("fast path speedup %.2fx below required %.2fx", speedup, minSpeedup)
 	}
-	fmt.Println("benchcmp: OK")
+	return nil
 }
 
 // delta is the percentage change of on relative to off (negative =
@@ -249,9 +271,4 @@ func delta(on, off int64) float64 {
 		return 100
 	}
 	return 100 * float64(on-off) / float64(off)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchcmp: "+format+"\n", args...)
-	os.Exit(1)
 }
