@@ -398,11 +398,14 @@ type CallExpr struct {
 	Args []Expr
 }
 
-// IntLit is an integer literal. Width is 0 for unsized literals.
+// IntLit is an integer literal. Width is 0 for unsized literals; Signed
+// marks the signed width prefix (4s7), which the subset otherwise treats
+// as unsigned.
 type IntLit struct {
-	P     token.Pos
-	Width int
-	Val   *big.Int
+	P      token.Pos
+	Width  int
+	Val    *big.Int
+	Signed bool
 }
 
 // BoolLit is true or false.

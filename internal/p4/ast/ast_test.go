@@ -40,6 +40,7 @@ func TestPrintExprForms(t *testing.T) {
 	}{
 		{&IntLit{Width: 8, Val: big.NewInt(255)}, "8w255"},
 		{&IntLit{Val: big.NewInt(7)}, "7"},
+		{&IntLit{Width: 4, Val: big.NewInt(7), Signed: true}, "4s7"},
 		{&BoolLit{Val: true}, "true"},
 		{&UnaryExpr{Op: token.NOT, X: a}, "!a"},
 		{&BinaryExpr{Op: token.PLUS, X: a, Y: b}, "a + b"},
@@ -48,6 +49,8 @@ func TestPrintExprForms(t *testing.T) {
 		{&DefaultExpr{}, "default"},
 		// Nested precedence: (a + b) * b needs parens.
 		{&BinaryExpr{Op: token.STAR, X: &BinaryExpr{Op: token.PLUS, X: a, Y: b}, Y: b}, "(a + b) * b"},
+		// -> is right-associative: only a left operand -> needs parens.
+		{&BinaryExpr{Op: token.IMPLIES, X: &BinaryExpr{Op: token.IMPLIES, X: a, Y: b}, Y: &BinaryExpr{Op: token.IMPLIES, X: b, Y: a}}, "(a -> b) -> b -> a"},
 	}
 	for _, c := range cases {
 		if got := PrintExpr(c.expr); got != c.want {

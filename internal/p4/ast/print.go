@@ -362,48 +362,20 @@ func (p *printer) stmt(s Stmt) {
 	}
 }
 
-// precedence for parenthesization decisions.
-func prec(op token.Kind) int {
-	switch op {
-	case token.OR:
-		return 1
-	case token.AND:
-		return 2
-	case token.EQ, token.NEQ:
-		return 3
-	case token.LANGLE, token.RANGLE, token.LEQ, token.GEQ:
-		return 4
-	case token.PIPE:
-		return 5
-	case token.CARET:
-		return 6
-	case token.AMP:
-		return 7
-	case token.SHL, token.SHR:
-		return 8
-	case token.PLUS, token.MINUS, token.PLUSPLUS:
-		return 9
-	case token.STAR, token.SLASH, token.PERCENT:
-		return 10
-	default:
-		return 11
-	}
-}
-
 func (p *printer) expr(e Expr, parentPrec int) {
 	switch x := e.(type) {
 	case *Ident:
 		p.w(x.Name)
 	case *Member:
-		p.expr(x.X, 12)
+		p.expr(x.X, 13)
 		p.w("." + x.Name)
 	case *IndexExpr:
-		p.expr(x.X, 12)
+		p.expr(x.X, 13)
 		p.w("[")
 		p.expr(x.Index, 0)
 		p.w("]")
 	case *CallExpr:
-		p.expr(x.Fun, 12)
+		p.expr(x.Fun, 13)
 		p.w("(")
 		for i, a := range x.Args {
 			if i > 0 {
@@ -413,7 +385,9 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		}
 		p.w(")")
 	case *IntLit:
-		if x.Width > 0 {
+		if x.Signed {
+			p.f("%ds%s", x.Width, x.Val.String())
+		} else if x.Width > 0 {
 			p.f("%dw%s", x.Width, x.Val.String())
 		} else {
 			p.w(x.Val.String())
@@ -426,15 +400,21 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		}
 	case *UnaryExpr:
 		p.w(x.Op.String())
-		p.expr(x.X, 11)
+		p.expr(x.X, 12)
 	case *BinaryExpr:
-		pr := prec(x.Op)
+		pr := x.Op.Precedence()
 		if pr < parentPrec {
 			p.w("(")
 		}
-		p.expr(x.X, pr)
+		// Left-associative operators parenthesize an equal-precedence
+		// right operand; right-associative -> the left one.
+		lp, rp := pr, pr+1
+		if x.Op == token.IMPLIES {
+			lp, rp = pr+1, pr
+		}
+		p.expr(x.X, lp)
 		p.w(" " + x.Op.String() + " ")
-		p.expr(x.Y, pr+1)
+		p.expr(x.Y, rp)
 		if pr < parentPrec {
 			p.w(")")
 		}
@@ -442,7 +422,7 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		p.w("(")
 		p.typ(x.Type)
 		p.w(")")
-		p.expr(x.X, 11)
+		p.expr(x.X, 12)
 	case *TernaryExpr:
 		if parentPrec > 0 {
 			p.w("(")

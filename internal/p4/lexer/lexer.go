@@ -163,6 +163,10 @@ func (l *Lexer) Next() token.Token {
 		}
 		return mk(token.PLUS)
 	case '-':
+		if l.peek() == '>' {
+			l.advance()
+			return mk(token.IMPLIES)
+		}
 		return mk(token.MINUS)
 	case '=':
 		if l.peek() == '=' {

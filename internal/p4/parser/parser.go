@@ -54,7 +54,8 @@ func PrefixFile(filename string, err error) error {
 	return errors.New(strings.Join(lines, "\n"))
 }
 
-// ParseExpr parses a single expression (used by the spec parser and tests).
+// ParseExpr parses a single expression: a property predicate, a table
+// key path, or a test input.
 func ParseExpr(src string) (ast.Expr, error) {
 	p := newParser(src)
 	e := p.parseExpr()
@@ -289,6 +290,9 @@ func (p *parser) parseIntValue() int {
 	return int(v.Int64())
 }
 
+// maxLitWidth bounds the width prefix of a sized literal.
+const maxLitWidth = 4096
+
 // ParseIntLit decodes a P4 integer literal: returns the declared width
 // (0 if unsized) and the magnitude. Accepted forms: 42, 0x2A, 0b101010,
 // 8w255, 9w0x1FF, 4s7, with optional underscores.
@@ -296,7 +300,7 @@ func ParseIntLit(lit string) (width int, val *big.Int, err error) {
 	s := strings.ReplaceAll(lit, "_", "")
 	if i := strings.IndexAny(s, "ws"); i > 0 && !strings.HasPrefix(s, "0x") && !strings.HasPrefix(s, "0X") && !strings.HasPrefix(s, "0b") && !strings.HasPrefix(s, "0B") {
 		w := new(big.Int)
-		if _, ok := w.SetString(s[:i], 10); !ok {
+		if _, ok := w.SetString(s[:i], 10); !ok || w.Sign() <= 0 || w.Cmp(big.NewInt(maxLitWidth)) > 0 {
 			return 0, nil, fmt.Errorf("bad width in literal %q", lit)
 		}
 		width = int(w.Int64())
@@ -880,34 +884,6 @@ func (p *parser) parseSwitch() ast.Stmt {
 
 // ---------------------------------------------------------------- exprs
 
-// Binary operator precedence (higher binds tighter).
-func binaryPrec(k token.Kind) int {
-	switch k {
-	case token.OR:
-		return 1
-	case token.AND:
-		return 2
-	case token.EQ, token.NEQ:
-		return 3
-	case token.LANGLE, token.RANGLE, token.LEQ, token.GEQ:
-		return 4
-	case token.PIPE:
-		return 5
-	case token.CARET:
-		return 6
-	case token.AMP:
-		return 7
-	case token.SHL, token.SHR:
-		return 8
-	case token.PLUS, token.MINUS, token.PLUSPLUS:
-		return 9
-	case token.STAR, token.SLASH, token.PERCENT:
-		return 10
-	default:
-		return 0
-	}
-}
-
 func (p *parser) parseExpr() ast.Expr {
 	return p.parseTernary()
 }
@@ -928,15 +904,17 @@ func (p *parser) parseTernary() ast.Expr {
 func (p *parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
 	for {
-		prec := binaryPrec(p.tok.Kind)
+		prec := p.tok.Kind.Precedence()
 		if prec == 0 || prec < minPrec {
 			return lhs
 		}
 		op := p.tok.Kind
 		pos := p.tok.Pos
 		p.advance()
-		rhs := p.parseBinary(prec + 1)
-		lhs = &ast.BinaryExpr{P: pos, Op: op, X: lhs, Y: rhs}
+		if op != token.IMPLIES {
+			prec++
+		}
+		lhs = &ast.BinaryExpr{P: pos, Op: op, X: lhs, Y: p.parseBinary(prec)}
 	}
 }
 
@@ -978,7 +956,7 @@ func (p *parser) parsePrimary() ast.Expr {
 			p.errorf(pos, "%v", err)
 			v = big.NewInt(0)
 		}
-		return &ast.IntLit{P: pos, Width: w, Val: v}
+		return &ast.IntLit{P: pos, Width: w, Val: v, Signed: w > 0 && strings.ContainsRune(lit, 's')}
 	case token.KwTrue:
 		p.advance()
 		return &ast.BoolLit{P: pos, Val: true}

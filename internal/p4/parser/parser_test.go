@@ -214,18 +214,22 @@ func TestParserStates(t *testing.T) {
 
 func TestIntLitForms(t *testing.T) {
 	cases := []struct {
-		src   string
-		width int
-		val   int64
+		src    string
+		width  int
+		val    int64
+		signed bool
 	}{
-		{"42", 0, 42},
-		{"0xFF", 0, 255},
-		{"0b101", 0, 5},
-		{"8w255", 8, 255},
-		{"9w0x1FF", 9, 511},
-		{"1w0b1", 1, 1},
-		{"4s7", 4, 7},
-		{"32w0xdead_beef", 32, 0xdeadbeef},
+		{"42", 0, 42, false},
+		{"0xFF", 0, 255, false},
+		{"0b101", 0, 5, false},
+		{"8w255", 8, 255, false},
+		{"9w0x1FF", 9, 511, false},
+		{"1w0b1", 1, 1, false},
+		{"4s7", 4, 7, true},
+		{"32w0xdead_beef", 32, 0xdeadbeef, false},
+		{"0x800", 0, 2048, false},
+		{"16w0x800", 16, 2048, false},
+		{"9w511", 9, 511, false},
 	}
 	for _, c := range cases {
 		e, err := ParseExpr(c.src)
@@ -238,35 +242,52 @@ func TestIntLitForms(t *testing.T) {
 			t.Errorf("%q: not an IntLit: %T", c.src, e)
 			continue
 		}
-		if lit.Width != c.width || lit.Val.Int64() != c.val {
-			t.Errorf("%q: got width=%d val=%d, want %d/%d", c.src, lit.Width, lit.Val.Int64(), c.width, c.val)
+		if lit.Width != c.width || lit.Val.Int64() != c.val || lit.Signed != c.signed {
+			t.Errorf("%q: got width=%d val=%d signed=%v, want %d/%d/%v", c.src, lit.Width, lit.Val.Int64(), lit.Signed, c.width, c.val, c.signed)
+		}
+	}
+	// A width prefix must be 1..4096.
+	for _, bad := range []string{"0w1", "0s1", "4097w1", "99999999999999999999w1"} {
+		if _, err := ParseExpr(bad); err == nil || !strings.Contains(err.Error(), "bad width") {
+			t.Errorf("%q: got %v, want a bad-width error", bad, err)
 		}
 	}
 }
 
+// shape renders e with every binary node parenthesized, exposing the
+// parse tree.
+func shape(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.BinaryExpr:
+		return "(" + shape(e.X) + " " + e.Op.String() + " " + shape(e.Y) + ")"
+	case *ast.UnaryExpr:
+		return e.Op.String() + shape(e.X)
+	}
+	return ast.PrintExpr(e)
+}
+
 func TestExprPrecedence(t *testing.T) {
-	e, err := ParseExpr("a + b * c == d << 2 & e")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ src, want string }{
+		{"a + b * c == d << 2 & e", "((a + (b * c)) == ((d << 2) & e))"},
+		{"a.b == 1 && c.d == 2 || e.f == 3", "(((a.b == 1) && (c.d == 2)) || (e.f == 3))"},
+		{"a.b + 1 == 2", "((a.b + 1) == 2)"},
+		{"a.b & 16w0xff == a.b", "((a.b & 16w255) == a.b)"},
+		// Implication binds loosest and associates to the right.
+		{"a -> b -> c", "(a -> (b -> c))"},
+		{"a || b -> c && d", "((a || b) -> (c && d))"},
+		{"a -> b || c -> d", "(a -> ((b || c) -> d))"},
+		{"(a -> b) -> c", "((a -> b) -> c)"},
+		{"x.isValid() -> x.y > 0", "(x.isValid() -> (x.y > 0))"},
 	}
-	// ((a + (b*c)) == ((d << 2) & e)): check the tree shape directly.
-	eq, ok := e.(*ast.BinaryExpr)
-	if !ok || eq.Op.String() != "==" {
-		t.Fatalf("root is %T (%s), want ==", e, ast.PrintExpr(e))
-	}
-	if l, ok := eq.X.(*ast.BinaryExpr); !ok || l.Op.String() != "+" {
-		t.Fatalf("lhs of == is %s", ast.PrintExpr(eq.X))
-	}
-	if r, ok := eq.Y.(*ast.BinaryExpr); !ok || r.Op.String() != "&" {
-		t.Fatalf("rhs of == is %s", ast.PrintExpr(eq.Y))
-	}
-	// The printed form must re-parse to the same shape.
-	e2, err := ParseExpr(ast.PrintExpr(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ast.PrintExpr(e2) != ast.PrintExpr(e) {
-		t.Fatalf("round trip: %q vs %q", ast.PrintExpr(e2), ast.PrintExpr(e))
+	for _, c := range cases {
+		e, err := ParseExpr(c.src)
+		if err != nil {
+			t.Errorf("%q: %v", c.src, err)
+			continue
+		}
+		if got := shape(e); got != c.want {
+			t.Errorf("%q parsed as %s, want %s", c.src, got, c.want)
+		}
 	}
 }
 
@@ -383,6 +404,34 @@ func TestRoundTripThroughPrinter(t *testing.T) {
 	printed2 := ast.Print(prog2)
 	if printed != printed2 {
 		t.Fatalf("printer not idempotent:\n--- first ---\n%s\n--- second ---\n%s", printed, printed2)
+	}
+
+	// Printed expressions re-parse to the same tree.
+	for _, src := range []string{
+		"a + b * c == d << 2 & e",
+		"(a + b) * c",
+		"a -> b -> c",
+		"(a -> b) -> c",
+		"a || b -> c && d",
+		"(a -> b) && c",
+		"a -> (b ? c : d)",
+		"(a ? b : c) -> d",
+		"!(a -> b)",
+		"4s7 == x",
+	} {
+		e, err := ParseExpr(src)
+		if err != nil {
+			t.Errorf("%q: %v", src, err)
+			continue
+		}
+		e2, err := ParseExpr(ast.PrintExpr(e))
+		if err != nil {
+			t.Errorf("%q printed as %q: %v", src, ast.PrintExpr(e), err)
+			continue
+		}
+		if shape(e2) != shape(e) {
+			t.Errorf("%q printed as %q, which re-parses as %s, want %s", src, ast.PrintExpr(e), shape(e2), shape(e))
+		}
 	}
 }
 

@@ -54,6 +54,7 @@ const (
 	OR  // ||
 
 	PLUSPLUS // ++ (concatenation)
+	IMPLIES  // -> (implication; @assert/@assume properties only)
 
 	// Keywords.
 	KwAction
@@ -100,6 +101,7 @@ var kindNames = map[Kind]string{
 	MINUS: "-", STAR: "*", SLASH: "/", PERCENT: "%", AMP: "&", PIPE: "|",
 	CARET: "^", TILDE: "~", NOT: "!", SHL: "<<", SHR: ">>", EQ: "==",
 	NEQ: "!=", LEQ: "<=", GEQ: ">=", AND: "&&", OR: "||", PLUSPLUS: "++",
+	IMPLIES:  "->",
 	KwAction: "action", KwActions: "actions", KwApply: "apply", KwBit: "bit",
 	KwBool: "bool", KwConst: "const", KwControl: "control",
 	KwDefault: "default", KwDefaultAction: "default_action", KwElse: "else",
@@ -117,6 +119,38 @@ func (k Kind) String() string {
 		return s
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Precedence is the binding strength of a binary operator, higher
+// binding tighter, or 0 for any other kind. Implication (`->`,
+// properties only) binds loosest and associates to the right.
+func (k Kind) Precedence() int {
+	switch k {
+	case IMPLIES:
+		return 1
+	case OR:
+		return 2
+	case AND:
+		return 3
+	case EQ, NEQ:
+		return 4
+	case LANGLE, RANGLE, LEQ, GEQ:
+		return 5
+	case PIPE:
+		return 6
+	case CARET:
+		return 7
+	case AMP:
+		return 8
+	case SHL, SHR:
+		return 9
+	case PLUS, MINUS, PLUSPLUS:
+		return 10
+	case STAR, SLASH, PERCENT:
+		return 11
+	default:
+		return 0
+	}
 }
 
 // Keywords maps keyword spellings to kinds.

@@ -811,6 +811,9 @@ func (in *Info) binaryType(sc *Scope, b *ast.BinaryExpr, actionParams map[string
 	yt := in.checkExpr(sc, b.Y, actionParams)
 	op := b.Op.String()
 	switch op {
+	case "->":
+		in.errorf(b, "operator -> is only allowed in @assert/@assume properties")
+		return &BoolT{}
 	case "&&", "||":
 		if _, ok := xt.(*BoolT); !ok {
 			in.errorf(b.X, "operator %s requires bool, got %s", op, xt)

@@ -190,6 +190,17 @@ control c(inout h hh) {
 		errContains(t, `header h { bit<8> x; }
 control c(inout h hh) { apply { hh.x = nothere; } }`, "undefined")
 	})
+	t.Run("implication outside properties", func(t *testing.T) {
+		// -> parses everywhere but types only inside properties, whatever
+		// its operands.
+		for _, c := range []struct{ cond, at string }{
+			{"hh.x == 8w1 -> hh.y == 8w2", "2:49:"},
+			{"hh.x -> hh.y", "2:42:"},
+		} {
+			errContains(t, `header h { bit<8> x; bit<8> y; }
+control c(inout h hh) { apply { if (`+c.cond+`) { hh.x = 8w0; } } }`, c.at+" operator -> is only allowed in @assert/@assume properties")
+		}
+	})
 	t.Run("compare width mismatch", func(t *testing.T) {
 		errContains(t, `header h { bit<8> x; bit<16> y; }
 control c(inout h hh) { apply { if (hh.x == hh.y) { hh.x = 8w0; } } }`, "cannot compare")

@@ -3,7 +3,8 @@ package prop
 import (
 	"fmt"
 
-	"bf4/internal/ir"
+	"bf4/internal/p4/ast"
+	"bf4/internal/p4/token"
 	"bf4/internal/smt"
 )
 
@@ -13,107 +14,98 @@ import (
 // already bound by the typechecker, so compilation cannot fail on
 // user input; an unbound node here is a compiler bug and panics.
 type compiler struct {
-	p *ir.Program
 	c *checked
 	f *smt.Factory
 }
 
-func newCompiler(p *ir.Program, c *checked) *compiler {
-	return &compiler{p: p, c: c, f: p.F}
-}
-
-// compile lowers e. The switch below must stay exhaustive over every
-// Expr kind in ast.go — enforced by tools/analyzers/propcheck.
-func (cp *compiler) compile(e Expr) *smt.Term {
+// compile lowers e; check has accepted e, so every form is one of the
+// cases below.
+func (cp *compiler) compile(e ast.Expr) *smt.Term {
 	switch e := e.(type) {
-	case *PathExpr:
-		v := cp.c.vars[e]
-		if v == nil {
-			panic(fmt.Sprintf("prop: path %s not resolved by typechecker", e))
-		}
-		return v.Term
+	case *ast.Ident, *ast.Member:
+		return cp.c.vars[e].Term
 
-	case *IntExpr:
+	case *ast.IntLit:
 		w := e.Width
 		if adapted, ok := cp.c.intWidth[e]; ok {
 			w = adapted
 		}
-		return cp.f.BVConst(e.Value, w)
+		return cp.f.BVConst(e.Val, w)
 
-	case *BoolExpr:
-		return cp.f.Bool(e.Value)
+	case *ast.BoolLit:
+		return cp.f.Bool(e.Val)
 
-	case *ValidExpr:
-		return cp.c.valids[e].Term
+	case *ast.CallExpr:
+		if v := cp.c.vars[e]; v != nil {
+			return v.Term
+		}
+		hit := cp.c.insts[e].HitVar.Term
+		switch builtin(e) {
+		case "hit":
+			return hit
+		case "miss":
+			return cp.f.Not(hit)
+		}
+		// action_run is only reachable through an action comparison,
+		// which compiles the whole ==/!= node without recursing here.
 
-	case *HitExpr:
-		return cp.c.insts[e].HitVar.Term
-
-	case *ActionExpr:
-		// Only reachable through an action comparison, which compiles the
-		// whole ==/!= node below without recursing here.
-		panic(fmt.Sprintf("prop: action_run(%s) compiled outside a comparison", e.Table))
-
-	case *UnaryExpr:
+	case *ast.UnaryExpr:
 		x := cp.compile(e.X)
 		switch e.Op {
-		case "!":
+		case token.NOT:
 			return cp.f.Not(x)
-		case "~":
+		case token.TILDE:
 			return cp.f.BVNot(x)
-		default: // "-"
+		case token.MINUS:
 			return cp.f.Neg(x)
 		}
 
-	case *BinaryExpr:
+	case *ast.BinaryExpr:
 		return cp.compileBinary(e)
 	}
-	panic(fmt.Sprintf("prop: unhandled expression %T", e))
+	panic(fmt.Sprintf("prop: %s compiled without being checked", ast.PrintExpr(e)))
 }
 
-func (cp *compiler) compileBinary(e *BinaryExpr) *smt.Term {
-	if e.Op == "==" || e.Op == "!=" {
-		if ae, path, _ := actionCompare(e); ae != nil {
-			inst := cp.c.insts[ae]
-			idx := cp.c.actIdx[path]
-			eq := cp.f.Eq(inst.ActVar.Term, cp.f.BVConst64(int64(idx), inst.ActVar.Sort.Width))
-			if e.Op == "!=" {
-				return cp.f.Not(eq)
-			}
-			return eq
+func (cp *compiler) compileBinary(e *ast.BinaryExpr) *smt.Term {
+	if call, name := actionCompare(e); call != nil {
+		inst := cp.c.insts[call]
+		eq := cp.f.Eq(inst.ActVar.Term, cp.f.BVConst64(int64(cp.c.actIdx[name]), inst.ActVar.Sort.Width))
+		if e.Op == token.NEQ {
+			return cp.f.Not(eq)
 		}
+		return eq
 	}
 	x := cp.compile(e.X)
 	y := cp.compile(e.Y)
 	switch e.Op {
-	case "->":
+	case token.IMPLIES:
 		return cp.f.Implies(x, y)
-	case "||":
+	case token.OR:
 		return cp.f.Or(x, y)
-	case "&&":
+	case token.AND:
 		return cp.f.And(x, y)
-	case "==":
+	case token.EQ:
 		return cp.f.Eq(x, y)
-	case "!=":
+	case token.NEQ:
 		return cp.f.Not(cp.f.Eq(x, y))
-	case "<":
+	case token.LANGLE:
 		return cp.f.Ult(x, y)
-	case "<=":
+	case token.LEQ:
 		return cp.f.Ule(x, y)
-	case ">":
+	case token.RANGLE:
 		return cp.f.Ult(y, x)
-	case ">=":
+	case token.GEQ:
 		return cp.f.Ule(y, x)
-	case "|":
+	case token.PIPE:
 		return cp.f.BVOr(x, y)
-	case "^":
+	case token.CARET:
 		return cp.f.BVXor(x, y)
-	case "&":
+	case token.AMP:
 		return cp.f.BVAnd(x, y)
-	case "+":
+	case token.PLUS:
 		return cp.f.Add(x, y)
-	case "-":
+	case token.MINUS:
 		return cp.f.Sub(x, y)
 	}
-	panic(fmt.Sprintf("prop: unhandled binary operator %q", e.Op))
+	panic(fmt.Sprintf("prop: operator %s compiled without being checked", e.Op))
 }

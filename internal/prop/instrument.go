@@ -47,7 +47,7 @@ func instrumentOne(p *ir.Program, pr *Property) error {
 	}
 	var anchors []anchor
 	if pr.After != "" {
-		ck := newChecker(p, nil)
+		ck := newChecker(p, nil, pr.Pos.File)
 		insts, err := ck.instancesOf(pr.After, pr.Pos)
 		if err != nil {
 			return fmt.Errorf("%s: @after: %w", pr.Pos, err)
@@ -69,11 +69,11 @@ func instrumentOne(p *ir.Program, pr *Property) error {
 		anchors = append(anchors, anchor{node: at})
 	}
 	for _, a := range anchors {
-		ck := newChecker(p, a.inst)
+		ck := newChecker(p, a.inst, pr.Pos.File)
 		if err := ck.checkProperty(pr); err != nil {
 			return err
 		}
-		cond := newCompiler(p, ck.c).compile(pr.Expr)
+		cond := (&compiler{c: ck.c, f: p.F}).compile(pr.Expr)
 		splice(p, a.node, pr, cond)
 	}
 	return nil

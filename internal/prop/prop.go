@@ -1,10 +1,42 @@
+// Package prop implements bf4's user-facing property DSL: boolean
+// @assert/@assume predicates over header fields, validity bits, standard
+// metadata and table hit/action state, written as P4 source comments or
+// in .props spec files. A predicate is a P4 expression parsed by
+// internal/p4/parser (plus `->`, for properties only). One semantic
+// pass typechecks it against the lowered program and binds its names
+// and builtins (isValid(), hit, miss, action_run); the compiler then
+// splices it in as guarded BugAssertFail nodes through
+// ir.Options.Instrument, after which the whole pipeline (pre-discharge,
+// wp, solver, Infer, Fixes, the runtime shim) treats user properties
+// exactly like built-in checks.
 package prop
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+
+	"bf4/internal/p4/ast"
+	"bf4/internal/p4/lexer"
+	"bf4/internal/p4/parser"
+	"bf4/internal/p4/token"
 )
+
+// Pos is a source position inside a property's origin (a P4 file or a
+// .props spec file). Line and Col are 1-based.
+type Pos struct {
+	File string
+	Line int
+	Col  int
+}
+
+func (p Pos) String() string {
+	if p.File == "" {
+		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	}
+	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+}
 
 // Kind discriminates the two property flavors.
 type Kind int
@@ -30,7 +62,9 @@ func (k Kind) String() string {
 // Property is one parsed @assert/@assume annotation.
 type Property struct {
 	Kind Kind
-	Expr Expr
+	// Expr is the predicate, a P4 expression whose positions are those of
+	// the declaration site.
+	Expr ast.Expr
 	// After anchors the property right behind every apply of the named
 	// table (`@assert @after(t) (...)`); empty means the default anchor
 	// (end of ingress for asserts, ingress entry for assumes).
@@ -64,15 +98,8 @@ func (p *Property) Describe() string {
 // canonical processing order, independent of how the inputs were
 // gathered (source scan vs spec files).
 func Sort(props []*Property) {
-	sort.SliceStable(props, func(i, j int) bool {
-		a, b := props[i].Pos, props[j].Pos
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
+	slices.SortStableFunc(props, func(a, b *Property) int {
+		return cmp.Or(cmp.Compare(a.Pos.File, b.Pos.File), cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Col, b.Pos.Col))
 	})
 }
 
@@ -81,85 +108,83 @@ func Sort(props []*Property) {
 //
 //	'@assert' | '@assume'  [ '@after' '(' table ')' ]  '(' predicate ')'
 //
-// The parenthesized predicate must close the annotation: trailing text
-// is an error, so a stray comment after a property is caught rather
-// than silently ignored.
+// The parenthesized predicate must close the annotation: trailing text,
+// a comment included, is an error, so a stray comment after a property
+// is caught rather than silently ignored.
 func parseAnnotation(text string, pos Pos) (*Property, error) {
 	pr := &Property{Pos: pos}
 	rest := text
-	col := pos.Col
-	eat := func(prefix string) bool {
-		if strings.HasPrefix(rest, prefix) {
-			rest = rest[len(prefix):]
-			col += len(prefix)
-			return true
-		}
-		return false
+	// errorf reports at the start of rest.
+	errorf := func(format string, args ...interface{}) error {
+		col := pos.Col + len(text) - len(rest)
+		return fmt.Errorf("%s:%d:%d: %s", pos.File, pos.Line, col, fmt.Sprintf(format, args...))
 	}
-	skipSpace := func() {
-		for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
-			rest = rest[1:]
-			col++
-		}
-	}
-	switch {
-	case eat("@assert"):
+	var ok bool
+	if rest, ok = strings.CutPrefix(text, "@assert"); ok {
 		pr.Kind = Assert
-	case eat("@assume"):
+	} else if rest, ok = strings.CutPrefix(text, "@assume"); ok {
 		pr.Kind = Assume
-	default:
+	} else {
 		return nil, fmt.Errorf("%s: expected @assert or @assume", pos)
 	}
-	skipSpace()
-	if eat("@after") {
-		skipSpace()
-		if !eat("(") {
-			return nil, fmt.Errorf("%s:%d:%d: expected '(' after @after", pos.File, pos.Line, col)
+	rest = strings.TrimLeft(rest, " \t")
+	if after, ok := strings.CutPrefix(rest, "@after"); ok {
+		rest = strings.TrimLeft(after, " \t")
+		if rest, ok = strings.CutPrefix(rest, "("); !ok {
+			return nil, errorf("expected '(' after @after")
 		}
-		skipSpace()
+		rest = strings.TrimLeft(rest, " \t")
 		end := strings.IndexByte(rest, ')')
 		if end < 0 {
-			return nil, fmt.Errorf("%s:%d:%d: unclosed @after(...)", pos.File, pos.Line, col)
+			return nil, errorf("unclosed @after(...)")
 		}
 		pr.After = strings.TrimSpace(rest[:end])
 		if pr.After == "" || strings.ContainsAny(pr.After, " \t") {
-			return nil, fmt.Errorf("%s:%d:%d: @after wants a single table name", pos.File, pos.Line, col)
+			return nil, errorf("@after wants a single table name")
 		}
-		rest = rest[end+1:]
-		col += end + 1
-		skipSpace()
+		rest = strings.TrimLeft(rest[end+1:], " \t")
 	}
-	if len(rest) == 0 || rest[0] != '(' {
-		return nil, fmt.Errorf("%s:%d:%d: expected parenthesized predicate", pos.File, pos.Line, col)
+	if !strings.HasPrefix(rest, "(") {
+		return nil, errorf("expected parenthesized predicate")
 	}
-	expr, err := ParseExpr(rest, Pos{File: pos.File, Line: pos.Line, Col: col})
+	// Pad the predicate so the parser's line:col positions are the
+	// declaration site's.
+	pad := strings.Repeat("\n", pos.Line-1) + strings.Repeat(" ", pos.Col+len(text)-len(rest)-1)
+	pred := rest
+	if end := closingParen(rest); end >= 0 {
+		pred, rest = rest[:end], strings.TrimLeft(rest[end:], " \t")
+		if rest != "" {
+			return nil, errorf("unexpected %q after property expression", strings.TrimSpace(rest))
+		}
+	}
+	expr, err := parser.ParseExpr(pad + pred)
 	if err != nil {
-		return nil, err
+		return nil, parser.PrefixFile(pos.File, err)
 	}
 	pr.Expr = expr
-	pr.Text = strings.TrimSpace(trimOuterParens(strings.TrimSpace(rest)))
+	pr.Text = strings.TrimSpace(pred[1 : len(pred)-1])
 	return pr, nil
 }
 
-// trimOuterParens strips one pair of outer parentheses when they match
-// each other ("(a) && (b)" keeps its parens, "(a && b)" loses them).
-func trimOuterParens(s string) string {
-	if len(s) < 2 || s[0] != '(' || s[len(s)-1] != ')' {
-		return s
-	}
+// closingParen returns the byte offset just past the ')' that closes the
+// '(' starting text, or -1 if it never closes. It scans with the P4
+// lexer, so parentheses inside comments do not count and a trailing
+// comment is left over as text. text is one line, so a token's column
+// is its offset plus one.
+func closingParen(text string) int {
+	lx := lexer.New(text)
 	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
+	for t := lx.Next(); t.Kind != token.EOF; t = lx.Next() {
+		switch t.Kind {
+		case token.LPAREN:
 			depth++
-		case ')':
-			depth--
-			if depth == 0 && i != len(s)-1 {
-				return s
+		case token.RPAREN:
+			if depth--; depth == 0 {
+				return t.Pos.Col
 			}
 		}
 	}
-	return s[1 : len(s)-1]
+	return -1
 }
 
 // ExtractSource scans P4 source for property annotations in line

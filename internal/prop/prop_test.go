@@ -3,76 +3,60 @@ package prop
 import (
 	"strings"
 	"testing"
+
+	"bf4/internal/p4/ast"
 )
 
-func mustParse(t *testing.T, src string) Expr {
+// mustParse parses one predicate through the spec-file front end.
+func mustParse(t *testing.T, src string) ast.Expr {
 	t.Helper()
-	e, err := ParseExpr(src, Pos{File: "t.props", Line: 1, Col: 1})
+	props, err := ParseSpecFile("t.props", []byte("@assert"+src))
 	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
+		t.Fatalf("ParseSpecFile(%q): %v", src, err)
 	}
-	return e
+	return props[0].Expr
+}
+
+// shape renders e with every binary node parenthesized, exposing the
+// parse tree.
+func shape(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.BinaryExpr:
+		return "(" + shape(e.X) + " " + e.Op.String() + " " + shape(e.Y) + ")"
+	case *ast.UnaryExpr:
+		return e.Op.String() + shape(e.X)
+	}
+	return ast.PrintExpr(e)
 }
 
 func TestParsePrecedence(t *testing.T) {
-	// String() parenthesizes every binary node, so it exposes the parse
-	// shape directly.
+	// Predicates are P4 expressions; these pin the shapes the property
+	// builtins and -> take in the shared parser.
 	cases := []struct{ src, want string }{
-		{"(a.b == 1 && c.d == 2 || e.f == 3)", "(((a.b == 1) && (c.d == 2)) || (e.f == 3))"},
-		// Implication binds loosest and associates right.
-		{"(a.b == 1 -> c.d == 2 -> e.f == 3)", "((a.b == 1) -> ((c.d == 2) -> (e.f == 3)))"},
 		{"(!hit(t) || hit(u))", "(!hit(t) || hit(u))"},
-		// miss() is sugar for !hit().
-		{"(miss(t))", "!hit(t)"},
-		{"(a.b + 1 == 2)", "((a.b + 1) == 2)"},
-		{"(a.b & 16w0xff == a.b)", "((a.b & 16w255) == a.b)"},
+		{"(miss(t))", "miss(t)"},
 		{"(hdr.ipv4.isValid() -> hdr.ipv4.ttl > 0)", "(hdr.ipv4.isValid() -> (hdr.ipv4.ttl > 0))"},
-		{"(action_run(t) != drop_)", "(action_run(t) != drop_)"},
+		{"(hit(t) -> action_run(t) != drop_)", "(hit(t) -> (action_run(t) != drop_))"},
 	}
 	for _, c := range cases {
-		if got := mustParse(t, c.src).String(); got != c.want {
-			t.Errorf("ParseExpr(%q).String() = %q, want %q", c.src, got, c.want)
-		}
-	}
-}
-
-func TestParseNumbers(t *testing.T) {
-	cases := []struct {
-		src   string
-		width int
-		value int64
-	}{
-		{"(a.b == 42)", 0, 42},
-		{"(a.b == 0x800)", 0, 2048},
-		{"(a.b == 16w0x800)", 16, 2048},
-		{"(a.b == 9w511)", 9, 511},
-	}
-	for _, c := range cases {
-		e := mustParse(t, c.src).(*BinaryExpr)
-		lit, ok := e.Y.(*IntExpr)
-		if !ok {
-			t.Fatalf("ParseExpr(%q): rhs is %T, want *IntExpr", c.src, e.Y)
-		}
-		if lit.Width != c.width || lit.Value.Int64() != c.value {
-			t.Errorf("ParseExpr(%q): got %dw%v, want %dw%d", c.src, lit.Width, lit.Value, c.width, c.value)
+		if got := shape(mustParse(t, c.src)); got != c.want {
+			t.Errorf("parse %q = %q, want %q", c.src, got, c.want)
 		}
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ src, frag string }{
-		{"(a.b == ", ""},            // unclosed
-		{"(a.b == 1 == 2)", ""},     // comparisons don't chain
-		{"(a.b @ 1)", ""},           // bad token
-		{"(hit())", ""},             // hit wants a table name
-		{"(a.b == 1) trailing", ""}, // text after the predicate
-		{"(16w0xzz == a.b)", ""},    // malformed literal
+	cases := []string{
+		"(a.b == ",            // unclosed
+		"(a.b @ 1)",           // bad token
+		"(a.b == 1) trailing", // text after the predicate
+		"(16w0xzz == a.b)",    // malformed literal
 	}
-	for _, c := range cases {
-		if _, err := ParseExpr(c.src, Pos{File: "t.props", Line: 3, Col: 1}); err == nil {
-			t.Errorf("ParseExpr(%q): expected error", c.src)
+	for _, src := range cases {
+		if _, err := ParseSpecFile("t.props", []byte("\n\n@assert"+src)); err == nil {
+			t.Errorf("predicate %q: expected error", src)
 		} else if !strings.Contains(err.Error(), "t.props:3:") {
-			t.Errorf("ParseExpr(%q): error %q lacks a t.props:3:<col> position", c.src, err)
+			t.Errorf("predicate %q: error %q lacks a t.props:3:<col> position", src, err)
 		}
 	}
 }
@@ -114,6 +98,8 @@ func TestParseSpecFileErrors(t *testing.T) {
 	cases := []string{
 		"@assert meta.m.flag != 1",       // missing parens
 		"@assert(a.b == 1) trailing",     // trailing text
+		"@assert(a.b == 1) // note",      // trailing line comment
+		"@assert(a.b == 1) /* note */",   // trailing block comment
 		"@check(a.b == 1)",               // unknown keyword
 		"@assert @after() (a.b == 1)",    // empty @after
 		"@assert @after(t u) (a.b == 1)", // @after wants one name
@@ -158,8 +144,16 @@ func TestExtractSource(t *testing.T) {
 		t.Errorf("props[0].Pos.Col = %d, want %d", props[0].Pos.Col, wantCol)
 	}
 
-	if _, err := ExtractSource("bad.p4", "// @assert(oops"); err == nil {
-		t.Error("malformed source annotation must be a hard error, got nil")
+	for _, bad := range []string{
+		"// @assert(oops",
+		"x = 1; // @assert(a.b == 1) // note",
+		"x = 1; // @assert(a.b == 1) /* note */",
+	} {
+		if _, err := ExtractSource("bad.p4", bad); err == nil {
+			t.Errorf("ExtractSource(%q): malformed source annotation must be a hard error, got nil", bad)
+		} else if !strings.HasPrefix(err.Error(), "bad.p4:1:") {
+			t.Errorf("ExtractSource(%q): error %q lacks a bad.p4:1:<col> position", bad, err)
+		}
 	}
 }
 

@@ -1,13 +1,17 @@
 package prop
 
-import "sort"
+import (
+	"sort"
+
+	"bf4/internal/p4/ast"
+)
 
 // DataVars returns the resolved program-variable names a property
 // expression reads — field paths plus header validity bits — sorted and
-// deduplicated. Table state (hit/action_run) is excluded: those are
+// deduplicated. Table state (hit/miss/action_run) is excluded: those are
 // per-instance control variables, not packet data. Used by the driver to
 // pick which fields of a replayed witness to show.
-func DataVars(e Expr) []string {
+func DataVars(e ast.Expr) []string {
 	seen := map[string]bool{}
 	collectVars(e, seen)
 	out := make([]string, 0, len(seen))
@@ -18,47 +22,27 @@ func DataVars(e Expr) []string {
 	return out
 }
 
-func collectVars(e Expr, seen map[string]bool) {
+func collectVars(e ast.Expr, seen map[string]bool) {
 	switch e := e.(type) {
-	case *PathExpr:
-		if name, ok := pathVarName(e); ok {
+	case *ast.Ident, *ast.Member:
+		if name, ok := varName(pathParts(e)); ok {
 			seen[name] = true
 		}
-	case *ValidExpr:
-		if name, ok := pathVarName(e.Header); ok {
-			seen[name+".$valid"] = true
+	case *ast.CallExpr:
+		if hdr := validityOf(e); hdr != nil {
+			if name, ok := varName(pathParts(hdr)); ok {
+				seen[name+".$valid"] = true
+			}
 		}
-	case *UnaryExpr:
+	case *ast.UnaryExpr:
 		collectVars(e.X, seen)
-	case *BinaryExpr:
-		// In an action comparison the path operand is an action name,
+	case *ast.BinaryExpr:
+		// In an action comparison the other operand is an action name,
 		// not a field.
-		if ae, _, _ := actionCompare(e); ae != nil && (e.Op == "==" || e.Op == "!=") {
+		if call, _ := actionCompare(e); call != nil {
 			return
 		}
 		collectVars(e.X, seen)
 		collectVars(e.Y, seen)
-	case *IntExpr, *BoolExpr, *HitExpr, *ActionExpr:
 	}
-}
-
-// pathVarName resolves a dotted path to the lowered variable namespace
-// without needing a program (mirrors checker.resolvePath).
-func pathVarName(e *PathExpr) (string, bool) {
-	if len(e.Parts) < 2 {
-		return "", false
-	}
-	root := e.Parts[0]
-	switch root {
-	case "standard_metadata":
-		root = "smeta"
-	case "hdr", "meta", "smeta":
-	default:
-		return "", false
-	}
-	name := root
-	for _, p := range e.Parts[1:] {
-		name += "." + p
-	}
-	return name, true
 }
